@@ -1,13 +1,24 @@
-// Experiment E8 — microbenchmarks of the local database DB_p and the hash
-// functions (paper Section 2.2: each peer's local store supports selection,
-// projection and join; every triple is hashed three times on insert).
+// Experiment E8 — microbenchmarks of the local database DB_p, the overlay
+// storage under it and the hash functions (paper Section 2.2: each peer's
+// local store supports selection, projection and join; every triple is
+// hashed three times on insert).
 //
 // google-benchmark binary; run with --benchmark_filter=... to narrow.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "common/hash.h"
 #include "common/string_util.h"
+#include "pgrid/pgrid_peer.h"
+#include "sim/latency.h"
+#include "sim/network.h"
+#include "sim/simulator.h"
 #include "store/binding_codec.h"
 #include "store/triple_store.h"
 
@@ -159,6 +170,32 @@ void BM_BindingCodec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BindingCodec);
+
+// The overlay storage of one P-Grid peer with N values under one key — the
+// order-preserving hash puts every triple of a predicate on one key. Each
+// iteration inserts the N values, then erases them in a fixed shuffled
+// order; items are insert+erase pairs.
+void BM_OverlayEraseHotKey(benchmark::State& state) {
+  const int n = int(state.range(0));
+  Simulator sim;
+  Network net(&sim, std::make_unique<ConstantLatency>(0.05), Rng(1));
+  PGridPeer peer(&sim, &net, Rng(2), PGridPeer::Options{});
+  const Key key = OrderPreservingHash(16)("x:type");
+  std::vector<std::string> values;
+  for (int i = 0; i < n; ++i) {
+    values.push_back("http://example.org/bio/entity/" + std::to_string(i));
+  }
+  std::vector<std::string> erase_order = values;
+  std::shuffle(erase_order.begin(), erase_order.end(), std::mt19937_64(7));
+  for (auto _ : state) {
+    for (const auto& v : values) peer.InsertLocal(key, v);
+    for (const auto& v : erase_order) {
+      benchmark::DoNotOptimize(peer.EraseLocal(key, v));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_OverlayEraseHotKey)->Arg(1000)->Arg(16000);
 
 }  // namespace
 }  // namespace gridvine

@@ -3,7 +3,8 @@
 # sequence ROADMAP.md names as the bar every change must keep green.
 #
 #   $ scripts/check.sh            # RelWithDebInfo build + ctest
-#   $ scripts/check.sh --asan     # ASan/UBSan build, runs store + query tests
+#   $ scripts/check.sh --asan     # ASan/UBSan build, runs store, query and
+#                                 # overlay-storage tests
 #   $ scripts/check.sh --tsan     # TSan build, runs the sharded-engine tests
 set -euo pipefail
 
@@ -32,12 +33,18 @@ fi
 if [[ "${1:-}" == "--asan" ]]; then
   cmake -B build-san -S . -DGV_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-san -j "$(nproc)" --target triple_store_test query_test \
-    property_test
+    property_test pgrid_peer_test exchange_test online_exchange_test
   export ASAN_OPTIONS=detect_leaks=1
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   ./build-san/tests/triple_store_test
   ./build-san/tests/query_test
   ./build-san/tests/property_test
+  # Overlay storage: the presence index holds iterators into the storage
+  # multimap, so a stale handle after an erase or eviction is a
+  # use-after-free these suites would surface.
+  ./build-san/tests/pgrid_peer_test
+  ./build-san/tests/exchange_test
+  ./build-san/tests/online_exchange_test
   echo "sanitizer run clean"
   exit 0
 fi

@@ -54,22 +54,24 @@ std::vector<std::string> PGridPeer::LocalLookup(const Key& key) const {
   return out;
 }
 
+size_t PGridPeer::HandleHash::operator()(PairView p) const noexcept {
+  const std::hash<std::string_view> h;
+  return h(p.key) ^ (h(p.value) * 0x9e3779b97f4a7c15ULL);
+}
+
 void PGridPeer::InsertLocal(const Key& key, const std::string& value) {
   // Idempotent insert: skip an identical (key, value) pair.
-  if (!present_.emplace(key.bits(), value).second) return;
-  storage_.emplace(key, value);
+  if (present_.find(PairView{key.bits(), value}) != present_.end()) return;
+  present_.insert(storage_.emplace(key, value));
   if (storage_listener_) storage_listener_(UpdateOp::kInsert, key, value);
 }
 
 bool PGridPeer::EraseLocal(const Key& key, const std::string& value) {
-  if (present_.erase({key.bits(), value}) == 0) return false;
-  auto range = storage_.equal_range(key);
-  for (auto it = range.first; it != range.second; ++it) {
-    if (it->second == value) {
-      storage_.erase(it);
-      break;
-    }
-  }
+  auto found = present_.find(PairView{key.bits(), value});
+  if (found == present_.end()) return false;
+  StorageHandle node = *found;
+  present_.erase(found);
+  storage_.erase(node);
   if (storage_listener_) storage_listener_(UpdateOp::kDelete, key, value);
   return true;
 }
@@ -79,7 +81,7 @@ std::vector<std::pair<Key, std::string>> PGridPeer::EvictForeignEntries() {
   for (auto it = storage_.begin(); it != storage_.end();) {
     if (!IsResponsibleFor(it->first)) {
       evicted.emplace_back(it->first, it->second);
-      present_.erase({it->first.bits(), it->second});
+      present_.erase(it);
       if (storage_listener_) {
         storage_listener_(UpdateOp::kDelete, it->first, it->second);
       }
@@ -666,10 +668,9 @@ size_t PGridPeer::MemoryFootprint() const {
   for (const auto& [key, value] : storage_) {
     bytes += StringHeapBytes(key.bits()) + StringHeapBytes(value);
   }
-  bytes += RbTreeBytes(present_.size(), sizeof(*present_.begin()));
-  for (const auto& [k, v] : present_) {
-    bytes += StringHeapBytes(k) + StringHeapBytes(v);
-  }
+  // Handles only: the index shares storage_'s strings (each node also
+  // caches its hash, which HashMapBytes' per-node word covers).
+  bytes += HashMapBytes(present_);
   bytes += HashMapBytes(pending_);
   for (const auto& [rid, p] : pending_) {
     bytes += p.tried_hops.capacity() * sizeof(NodeId);

@@ -5,9 +5,10 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -295,11 +296,43 @@ class PGridPeer : public NetworkNode {
   /// Payloads routed per destination ref — the state behind load-aware
   /// selection. Empty (never touched) when Options::load_aware is off.
   std::unordered_map<NodeId, uint64_t> send_loads_;
-  std::multimap<Key, std::string> storage_;
-  /// Exact (key, value) presence index: keeps InsertLocal's idempotence
-  /// check O(log n) even when the order-preserving hash piles thousands of
-  /// entries onto one key (clustered URIs).
-  std::set<std::pair<std::string, std::string>> present_;
+  using Storage = std::multimap<Key, std::string>;
+  using StorageHandle = Storage::const_iterator;
+  /// A (key bits, value) pair probed against the presence index without
+  /// building a Storage node.
+  struct PairView {
+    std::string_view key;
+    std::string_view value;
+  };
+  static PairView ViewOf(StorageHandle h) {
+    return {h->first.bits(), h->second};
+  }
+  static PairView ViewOf(PairView p) { return p; }
+  /// Hash and equality of a handle are those of the (key, value) pair it
+  /// points at; both are transparent so a PairView finds its handle.
+  struct HandleHash {
+    using is_transparent = void;
+    size_t operator()(PairView p) const noexcept;
+    size_t operator()(StorageHandle h) const noexcept {
+      return (*this)(ViewOf(h));
+    }
+  };
+  struct HandleEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      PairView x = ViewOf(a), y = ViewOf(b);
+      return x.key == y.key && x.value == y.value;
+    }
+  };
+
+  /// Per key, values in insertion order — the order LocalLookup returns.
+  Storage storage_;
+  /// Exact (key, value) presence index of handles into storage_: makes both
+  /// InsertLocal's idempotence check and EraseLocal O(1) expected, even when
+  /// the order-preserving hash piles thousands of values onto one key
+  /// (every triple of a predicate), and holds no copies of the strings.
+  std::unordered_set<StorageHandle, HandleHash, HandleEq> present_;
   std::unordered_map<uint64_t, Pending> pending_;
   uint32_t next_seq_ = 0;
   Counters counters_;

@@ -51,9 +51,11 @@ class EventFn {
     using D = std::decay_t<F>;
     if constexpr (kFitsInline<D>) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+      if constexpr (IsTriviallyRelocatable<D>::value) ZeroTail<sizeof(D)>();
       ops_ = &InlineModel<D>::kOps;
     } else {
       *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
+      ZeroTail<sizeof(D*)>();
       ops_ = &HeapModel<D>::kOps;
     }
   }
@@ -111,6 +113,17 @@ class EventFn {
     // Relocation is a pointer copy — memcpy-relocatable by construction.
     static constexpr Ops kOps = {&Invoke, nullptr, &Destroy};
   };
+
+  /// Zeroes the inline bytes past a memcpy-relocated callable, so the
+  /// whole-buffer relocation copy never reads indeterminate bytes. The size
+  /// is a compile-time constant: a few stores at construction, nothing added
+  /// to the relocation itself.
+  template <size_t kUsed>
+  void ZeroTail() noexcept {
+    if constexpr (kUsed < kInlineSize) {
+      std::memset(storage_ + kUsed, 0, kInlineSize - kUsed);
+    }
+  }
 
   void MoveFrom(EventFn& other) noexcept {
     if (other.ops_) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <random>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "pgrid/pgrid_builder.h"
@@ -178,6 +184,168 @@ TEST_F(PGridPeerTest, CountersTrackTraffic) {
   peer(0)->Retrieve(K("1100"), [](Result<PGridPeer::LookupResult>) {});
   sim_.Run();
   EXPECT_EQ(peer(0)->counters().retrieves_issued, 1u);
+}
+
+/// Reference model of a peer's local storage: per key (ordered by bits, as
+/// Key orders), the values in insertion order.
+using StorageModel = std::map<std::string, std::vector<std::string>>;
+using StorageEvent = std::tuple<UpdateOp, std::string, std::string>;
+
+std::vector<std::pair<std::string, std::string>> Flatten(
+    const StorageModel& model) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto& [key, values] : model) {
+    for (const auto& v : values) out.emplace_back(key, v);
+  }
+  return out;
+}
+
+std::vector<std::pair<std::string, std::string>> Flatten(
+    const std::multimap<Key, std::string>& storage) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto& [key, value] : storage) out.emplace_back(key.bits(), value);
+  return out;
+}
+
+// Seeded random mix of idempotent inserts (fresh and duplicate), erases
+// (present and absent) and evictions after path changes, checked against
+// the reference model after every step: iteration order, size, return
+// values and the storage listener's events.
+TEST_F(PGridPeerTest, StorageMatchesReferenceModel) {
+  const std::vector<std::string> keys = {"00",   "0000", "0001", "0010",
+                                         "0011", "0111", "1100", "000"};
+  const std::vector<std::string> paths = {"00", "000", "0001", "0"};
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    PGridPeer* p = peer(0);
+    p->SetPath(K("00"));
+    p->EvictForeignEntries();
+    for (const auto& [k, v] : Flatten(p->storage())) p->EraseLocal(K(k), v);
+    ASSERT_EQ(p->StorageSize(), 0u);
+
+    std::vector<StorageEvent> events;
+    p->SetStorageListener(
+        [&](UpdateOp op, const Key& key, const std::string& value) {
+          events.emplace_back(op, key.bits(), value);
+        });
+    StorageModel model;
+    size_t model_size = 0;
+    std::mt19937_64 rng(seed);
+    auto pick = [&](size_t n) { return size_t(rng() % n); };
+
+    for (int step = 0; step < 3000; ++step) {
+      std::vector<StorageEvent> expected;
+      const std::string& key = keys[pick(keys.size())];
+      std::string value = "v" + std::to_string(pick(12));
+      auto& values = model[key];
+      auto at = std::find(values.begin(), values.end(), value);
+      int roll = int(pick(100));
+      if (roll < 50) {
+        p->InsertLocal(K(key), value);
+        if (at == values.end()) {
+          values.push_back(value);
+          ++model_size;
+          expected.emplace_back(UpdateOp::kInsert, key, value);
+        }
+      } else if (roll < 95) {
+        bool erased = p->EraseLocal(K(key), value);
+        ASSERT_EQ(erased, at != values.end()) << "step " << step;
+        if (erased) {
+          values.erase(at);
+          --model_size;
+          expected.emplace_back(UpdateOp::kDelete, key, value);
+        }
+      } else {
+        p->SetPath(K(paths[pick(paths.size())]));
+        std::vector<std::pair<std::string, std::string>> gone;
+        for (auto& [k, vs] : model) {
+          if (p->IsResponsibleFor(K(k))) continue;
+          for (const auto& v : vs) {
+            gone.emplace_back(k, v);
+            expected.emplace_back(UpdateOp::kDelete, k, v);
+          }
+          model_size -= vs.size();
+          vs.clear();
+        }
+        std::vector<std::pair<std::string, std::string>> evicted;
+        for (const auto& [k, v] : p->EvictForeignEntries()) {
+          evicted.emplace_back(k.bits(), v);
+        }
+        ASSERT_EQ(evicted, gone) << "step " << step;
+      }
+      ASSERT_EQ(events, expected) << "step " << step;
+      events.clear();
+      ASSERT_EQ(p->StorageSize(), model_size) << "step " << step;
+      ASSERT_EQ(Flatten(p->storage()), Flatten(model)) << "step " << step;
+    }
+    p->SetStorageListener(nullptr);
+  }
+}
+
+// One key holding 20k values (every triple of a predicate lands on one key
+// under the order-preserving hash), erased in random order. Neighbouring
+// keys stay untouched; a value erased and re-inserted goes to the end of
+// its key's range; the storage ends empty.
+TEST_F(PGridPeerTest, HotKeyEraseInRandomOrder) {
+  PGridPeer* p = peer(0);
+  const Key hot = K("0010");
+  p->InsertLocal(K("0001"), "before");
+  p->InsertLocal(K("0011"), "after");
+  constexpr int kValues = 20000;
+  std::vector<std::string> values;
+  for (int i = 0; i < kValues; ++i) {
+    values.push_back("http://example.org/entity/" + std::to_string(i));
+    p->InsertLocal(hot, values.back());
+  }
+  ASSERT_EQ(p->StorageSize(), size_t(kValues) + 2);
+
+  auto hot_range = [&] {
+    std::vector<std::string> out;
+    auto [lo, hi] = p->storage().equal_range(hot);
+    for (auto it = lo; it != hi; ++it) out.push_back(it->second);
+    return out;
+  };
+  // The model: values of `hot` in storage order.
+  std::vector<std::string> model = values;
+  std::vector<std::string> order = values;
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(99));
+  size_t remaining = kValues;
+  for (int i = 0; i < kValues; ++i) {
+    ASSERT_TRUE(p->EraseLocal(hot, order[size_t(i)]));
+    ASSERT_FALSE(p->EraseLocal(hot, order[size_t(i)]));
+    --remaining;
+    if (i % 997 == 0) {
+      // Erase then re-insert: the value moves to the end of the key's range.
+      p->InsertLocal(hot, order[size_t(i)]);
+      ++remaining;
+      model.erase(std::find(model.begin(), model.end(), order[size_t(i)]));
+      model.push_back(order[size_t(i)]);
+      ASSERT_EQ(hot_range().back(), order[size_t(i)]);
+      ASSERT_TRUE(p->EraseLocal(hot, order[size_t(i)]));
+      --remaining;
+    }
+    ASSERT_EQ(p->StorageSize(), remaining + 2);
+    if (i % 2000 == 0) {
+      std::vector<std::string> expected;
+      std::vector<std::string> erased(order.begin(), order.begin() + i + 1);
+      std::sort(erased.begin(), erased.end());
+      for (const auto& v : model) {
+        if (!std::binary_search(erased.begin(), erased.end(), v)) {
+          expected.push_back(v);
+        }
+      }
+      ASSERT_EQ(hot_range(), expected) << "after " << i + 1 << " erases";
+    }
+  }
+  EXPECT_TRUE(hot_range().empty());
+  ASSERT_EQ(p->StorageSize(), 2u);
+  EXPECT_EQ(p->storage().begin()->second, "before");
+  EXPECT_EQ(std::next(p->storage().begin())->second, "after");
+  p->InsertLocal(hot, values[0]);
+  EXPECT_EQ(hot_range(), std::vector<std::string>{values[0]});
+  EXPECT_TRUE(p->EraseLocal(K("0001"), "before"));
+  EXPECT_TRUE(p->EraseLocal(K("0011"), "after"));
+  EXPECT_TRUE(p->EraseLocal(hot, values[0]));
+  EXPECT_EQ(p->StorageSize(), 0u);
 }
 
 }  // namespace

@@ -276,7 +276,9 @@ TEST(RoutingTableTest, NextHopPickIsSeedStable) {
     auto ha = a.NextHop(target, &ra, /*exclude=*/NodeId(i % 4));
     auto hb = b.NextHop(target, &rb, /*exclude=*/NodeId(i % 4));
     ASSERT_EQ(ha.has_value(), hb.has_value());
-    if (ha) ASSERT_EQ(*ha, *hb);
+    if (ha) {
+      ASSERT_EQ(*ha, *hb);
+    }
   }
 }
 
