@@ -3,8 +3,8 @@
 # sequence ROADMAP.md names as the bar every change must keep green.
 #
 #   $ scripts/check.sh            # RelWithDebInfo build + ctest
-#   $ scripts/check.sh --asan     # ASan/UBSan build, runs store, query and
-#                                 # overlay-storage tests
+#   $ scripts/check.sh --asan     # ASan/UBSan build, runs store, query,
+#                                 # overlay-storage and query-branch tests
 #   $ scripts/check.sh --tsan     # TSan build, runs the sharded-engine tests
 set -euo pipefail
 
@@ -33,7 +33,8 @@ fi
 if [[ "${1:-}" == "--asan" ]]; then
   cmake -B build-san -S . -DGV_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-san -j "$(nproc)" --target triple_store_test query_test \
-    property_test pgrid_peer_test exchange_test online_exchange_test
+    property_test pgrid_peer_test exchange_test online_exchange_test \
+    gridvine_peer_test executor_test serving_test
   export ASAN_OPTIONS=detect_leaks=1
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   ./build-san/tests/triple_store_test
@@ -45,6 +46,14 @@ if [[ "${1:-}" == "--asan" ]]; then
   ./build-san/tests/pgrid_peer_test
   ./build-san/tests/exchange_test
   ./build-san/tests/online_exchange_test
+  # Retried query branches: dispatches and bound scans share one branch
+  # table, erased on answer, exhaustion and owner finish. gridvine_peer_test
+  # and serving_test drive it through retries, duplicate answers and
+  # batching, where a use after erase would show; executor_test covers the
+  # executor that every resolved bound-scan call re-enters.
+  ./build-san/tests/gridvine_peer_test
+  ./build-san/tests/executor_test
+  ./build-san/tests/serving_test
   echo "sanitizer run clean"
   exit 0
 fi

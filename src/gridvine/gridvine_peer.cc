@@ -594,28 +594,21 @@ void GridVinePeer::DispatchQuery(uint64_t qid, const TriplePatternQuery& query,
     auto it2 = pending_queries_.find(qid);
     if (reply_to == id() && it2 != pending_queries_.end() &&
         !it2->second.closed) {
-      // Issuer-side branch: track it and hand it to the retrying layer
-      // instead of a single fire-and-forget send. The request object is
-      // retained so a retry re-routes the identical payload.
+      // Issuer-side branch: tracked and retried instead of a single
+      // fire-and-forget send. Iterative dispatches are the batchable kind (a
+      // recursive dispatch needs destination-side reformulation, which the
+      // batch handler does not perform).
       uint64_t did = next_dispatch_id_++;
       req->dispatch_id = did;
-      OpenDispatch od{req, route_key, 1, TraceCtx{}};
+      Branch branch;
+      branch.owner = qid;
       if (Tracer* tr = LiveTracer()) {
-        od.span = tr->StartSpan("op.dispatch", it2->second.span);
-        req->trace_ctx = od.span;
+        branch.span = tr->StartSpan("op.dispatch", it2->second.span);
+        req->trace_ctx = branch.span;
       }
-      it2->second.open_dispatches.emplace(did, std::move(od));
-      // Route may answer synchronously (origin responsible): emplace first.
-      // Iterative issuer-tracked dispatches are the batchable kind (a
-      // recursive dispatch needs destination-side reformulation, which the
-      // batch handler does not perform). The retry timer is armed either
-      // way — a retry re-routes the retained request individually.
-      if (options_.batch.enabled && mode == ReformulationMode::kIterative) {
-        EnqueueBatch(route_key, req);
-      } else {
-        overlay_->Route(route_key, req);
-      }
-      ArmDispatchTimer(qid, did, 1);
+      it2->second.branches.push_back(did);
+      OpenBranch(did, std::move(branch), std::move(req), route_key,
+                 mode == ReformulationMode::kIterative);
       return;
     }
     overlay_->Route(route_key, std::move(req));
@@ -677,55 +670,7 @@ void GridVinePeer::IterativeExpand(uint64_t qid,
       });
 }
 
-void GridVinePeer::ArmDispatchTimer(uint64_t qid, uint64_t did, int attempt) {
-  SimTime timeout = options_.query_retry.TimeoutFor(attempt, &rng_);
-  // Captured for the retroactive backoff span: recomputing it at the fire as
-  // now - timeout is off by floating-point rounding, which can push the
-  // interval's start before its parent's.
-  SimTime armed_at = sim_->Now();
-  sim_->Schedule(timeout, [this, qid, did, attempt, armed_at] {
-    auto it = pending_queries_.find(qid);
-    if (it == pending_queries_.end() || it->second.closed) return;
-    auto d = it->second.open_dispatches.find(did);
-    // Answered in the meantime, or a newer attempt owns the timer.
-    if (d == it->second.open_dispatches.end() ||
-        d->second.attempts != attempt) {
-      return;
-    }
-    if (options_.query_retry.Exhausted(d->second.attempts)) {
-      // Branch written off: close it so iterative completion need not wait
-      // for the global query timeout.
-      CloseDispatch(it->second, qid, did);
-      return;
-    }
-    ++d->second.attempts;
-    int next_attempt = d->second.attempts;
-    Key route_key = d->second.route_key;
-    std::shared_ptr<QueryRequest> req = d->second.req;
-    if (Tracer* tr = LiveTracer()) {
-      if (d->second.span.valid()) {
-        tr->Instant("op.retry", d->second.span);
-        // Retroactive: the whole timeout window just spent waiting before
-        // this retry — what the critical-path profiler books as backoff.
-        tr->Interval("op.backoff", d->second.span, armed_at, sim_->Now());
-      }
-    }
-    // Route can resolve synchronously and erase the dispatch; do not touch
-    // `d` past this point.
-    overlay_->Route(route_key, std::move(req));
-    ArmDispatchTimer(qid, did, next_attempt);
-  });
-}
-
-void GridVinePeer::CloseDispatch(PendingQuery& p, uint64_t qid, uint64_t did) {
-  auto od = p.open_dispatches.find(did);
-  if (od != p.open_dispatches.end() && od->second.span.valid()) {
-    if (Tracer* tr = LiveTracer()) {
-      tr->Annotate(od->second.span, "attempts", double(od->second.attempts));
-      tr->EndSpan(od->second.span);
-    }
-  }
-  p.open_dispatches.erase(did);
+void GridVinePeer::CountOffBranch(PendingQuery& p, uint64_t qid) {
   bool iterative = !p.options.reformulate ||
                    p.options.mode == ReformulationMode::kIterative;
   if (iterative && !p.used_range_dispatch) {
@@ -750,14 +695,10 @@ void GridVinePeer::FinishQuery(uint64_t qid) {
   it->second.closed = true;
   PendingQuery p = std::move(it->second);
   pending_queries_.erase(it);
+  // Branches still open at the timeout end with the query.
+  DropBranches(p.branches);
   if (p.span.valid()) {
     if (Tracer* tr = LiveTracer()) {
-      // Branches still open at the timeout end with the query.
-      for (auto& [did, od] : p.open_dispatches) {
-        if (!od.span.valid()) continue;
-        tr->Annotate(od.span, "timed_out", 1.0);
-        tr->EndSpan(od.span);
-      }
       tr->Annotate(p.span, "reformulations", double(p.reformulations));
       tr->Annotate(p.span, "batches", double(p.batches.size()));
       tr->Annotate(p.span, "schemas", double(p.schemas_answered.size()));
@@ -905,9 +846,9 @@ void GridVinePeer::HandleQueryResponse(const QueryResponse& resp) {
   // A response for a tracked branch that is no longer open is a duplicate
   // (network duplication, or both the original and a retry answering):
   // every branch is accounted exactly once, so drop it here.
-  if (resp.dispatch_id != 0 &&
-      p.open_dispatches.find(resp.dispatch_id) == p.open_dispatches.end()) {
-    return;
+  if (resp.dispatch_id != 0) {
+    auto b = branches_.find(resp.dispatch_id);
+    if (b == branches_.end() || b->second.owner != resp.query_id) return;
   }
 
   auto rows = ParseBindings(resp.rows);
@@ -929,16 +870,10 @@ void GridVinePeer::HandleQueryResponse(const QueryResponse& resp) {
   }
 
   if (resp.dispatch_id != 0) {
-    // CloseDispatch handles the outstanding-branch accounting (and may
-    // complete the query).
-    CloseDispatch(p, resp.query_id, resp.dispatch_id);
+    // Closing the branch counts it off (and may complete the query).
+    CloseBranch(resp.dispatch_id, /*answered=*/true);
   } else {
-    bool iterative = !p.options.reformulate ||
-                     p.options.mode == ReformulationMode::kIterative;
-    if (iterative && !p.used_range_dispatch) {
-      --p.outstanding;
-      MaybeFinishIterative(resp.query_id);
-    }
+    CountOffBranch(p, resp.query_id);
   }
 }
 
@@ -1228,6 +1163,7 @@ void GridVinePeer::StartConjunctive(const ConjunctiveQuery& query,
     if (it != active_execs_.end()) {
       std::shared_ptr<ActiveExec> keep = std::move(it->second);
       active_execs_.erase(it);
+      DropBranches(keep->branches);
       sim_->Schedule(0, [keep] {});
     }
     cb(std::move(res));
@@ -1295,77 +1231,112 @@ void GridVinePeer::StartBoundScan(uint64_t exec_id,
     req->reply_to = id();
     uint64_t did = next_dispatch_id_++;
     req->dispatch_id = did;
-    OpenBoundScan ob;
-    ob.req = req;
-    ob.route_key = key;
-    ob.call_id = call_id;
-    ob.global_index = std::move(b.global_index);
+    Branch branch;
+    branch.owner = exec_id;
+    branch.call_id = call_id;
+    branch.global_index = std::move(b.global_index);
     if (Tracer* tr = LiveTracer()) {
-      ob.span = tr->StartSpan("op.bound_scan", trace_parent);
-      tr->Annotate(ob.span, "probes", double(ob.global_index.size()));
-      req->trace_ctx = ob.span;
+      branch.span = tr->StartSpan("op.bound_scan", trace_parent);
+      tr->Annotate(branch.span, "probes", double(branch.global_index.size()));
+      req->trace_ctx = branch.span;
     }
-    ae.open_scans.emplace(did, std::move(ob));
-    // Route may deliver locally (synchronously); the branch must be
-    // registered first. The response itself always arrives asynchronously
-    // (SendDirect), so `ae` stays valid across this loop.
-    if (options_.batch.enabled) {
-      EnqueueBatch(key, req);
-    } else {
-      overlay_->Route(key, req);
-    }
-    ArmBoundScanTimer(exec_id, did, 1);
+    ae.branches.push_back(did);
+    // The response always arrives asynchronously (SendDirect), so `ae`
+    // stays valid across this loop.
+    OpenBranch(did, std::move(branch), std::move(req), key,
+               /*batchable=*/true);
   }
 }
 
-void GridVinePeer::ArmBoundScanTimer(uint64_t exec_id, uint64_t did,
-                                     int attempt) {
+// --- Retried branches ---------------------------------------------------------------
+
+void GridVinePeer::OpenBranch(uint64_t did, Branch branch,
+                              std::shared_ptr<const MessageBody> req,
+                              const Key& key, bool batchable) {
+  branch.req = req;
+  branch.route_key = key;
+  // Route may deliver locally and answer synchronously: register first. The
+  // retry timer is armed either way — a retry re-routes the retained request
+  // individually, bypassing the batcher.
+  branches_.emplace(did, std::move(branch));
+  if (batchable && options_.batch.enabled) {
+    EnqueueBatch(key, std::move(req));
+  } else {
+    overlay_->Route(key, std::move(req));
+  }
+  ArmBranchTimer(did, 1);
+}
+
+void GridVinePeer::ArmBranchTimer(uint64_t did, int attempt) {
   SimTime timeout = options_.query_retry.TimeoutFor(attempt, &rng_);
-  sim_->Schedule(timeout, [this, exec_id, did, attempt] {
-    auto it = active_execs_.find(exec_id);
-    if (it == active_execs_.end()) return;
-    ActiveExec& ae = *it->second;
-    auto d = ae.open_scans.find(did);
+  auto b = branches_.find(did);
+  if (b != branches_.end()) b->second.armed_at = sim_->Now();
+  sim_->Schedule(timeout, [this, did, attempt] {
+    auto b = branches_.find(did);
     // Answered in the meantime, or a newer attempt owns the timer.
-    if (d == ae.open_scans.end() || d->second.attempts != attempt) return;
-    if (options_.query_retry.Exhausted(d->second.attempts)) {
-      // Branch written off: the whole call resolves as Timeout once its
-      // remaining branches close.
-      CloseBoundScan(exec_id, did, /*answered=*/false);
+    if (b == branches_.end() || b->second.attempts != attempt) return;
+    Branch& branch = b->second;
+    if (options_.query_retry.Exhausted(attempt)) {
+      // Written off: the owner completes without it (a bound-scan call
+      // resolves as Timeout) instead of waiting for its global timeout.
+      CloseBranch(did, /*answered=*/false);
       return;
     }
-    ++d->second.attempts;
-    int next_attempt = d->second.attempts;
-    Key route_key = d->second.route_key;
-    std::shared_ptr<BoundScanRequest> req = d->second.req;
+    ++branch.attempts;
     if (Tracer* tr = LiveTracer()) {
-      if (d->second.span.valid()) tr->Instant("op.retry", d->second.span);
+      if (branch.span.valid()) {
+        tr->Instant("op.retry", branch.span);
+        // Retroactive: the whole timeout window just spent waiting before
+        // this retry — what the critical-path profiler books as backoff.
+        tr->Interval("op.backoff", branch.span, branch.armed_at, sim_->Now());
+      }
     }
+    // Route can resolve synchronously and close the branch; do not touch
+    // `branch` past this point.
+    Key route_key = branch.route_key;
+    std::shared_ptr<const MessageBody> req = branch.req;
     overlay_->Route(route_key, std::move(req));
-    ArmBoundScanTimer(exec_id, did, next_attempt);
+    ArmBranchTimer(did, attempt + 1);
   });
 }
 
-void GridVinePeer::CloseBoundScan(uint64_t exec_id, uint64_t did,
-                                  bool answered) {
-  auto it = active_execs_.find(exec_id);
-  if (it == active_execs_.end()) return;
-  ActiveExec& ae = *it->second;
-  auto d = ae.open_scans.find(did);
-  if (d == ae.open_scans.end()) return;
-  uint64_t call_id = d->second.call_id;
-  if (d->second.span.valid()) {
-    if (Tracer* tr = LiveTracer()) {
-      tr->Annotate(d->second.span, "attempts", double(d->second.attempts));
-      if (!answered) tr->Annotate(d->second.span, "timed_out", 1.0);
-      tr->EndSpan(d->second.span);
-    }
+void GridVinePeer::CloseBranch(uint64_t did, bool answered) {
+  auto b = branches_.find(did);
+  if (b == branches_.end()) return;
+  Branch branch = std::move(b->second);
+  branches_.erase(b);
+  EndBranchSpan(branch, answered);
+  if (branch.call_id == 0) {
+    auto q = pending_queries_.find(branch.owner);
+    if (q != pending_queries_.end()) CountOffBranch(q->second, branch.owner);
+    return;
   }
-  ae.open_scans.erase(d);
-  auto c = ae.calls.find(call_id);
-  if (c == ae.calls.end()) return;
+  auto it = active_execs_.find(branch.owner);
+  if (it == active_execs_.end()) return;
+  auto c = it->second->calls.find(branch.call_id);
+  if (c == it->second->calls.end()) return;
   if (!answered) c->second.timed_out = true;
-  if (--c->second.outstanding == 0) ResolveBoundCall(exec_id, call_id);
+  if (--c->second.outstanding == 0) {
+    ResolveBoundCall(branch.owner, branch.call_id);
+  }
+}
+
+void GridVinePeer::EndBranchSpan(const Branch& branch, bool answered) {
+  if (!branch.span.valid()) return;
+  if (Tracer* tr = LiveTracer()) {
+    tr->Annotate(branch.span, "attempts", double(branch.attempts));
+    if (!answered) tr->Annotate(branch.span, "timed_out", 1.0);
+    tr->EndSpan(branch.span);
+  }
+}
+
+void GridVinePeer::DropBranches(const std::vector<uint64_t>& dids) {
+  for (uint64_t did : dids) {
+    auto b = branches_.find(did);
+    if (b == branches_.end()) continue;
+    EndBranchSpan(b->second, /*answered=*/false);
+    branches_.erase(b);
+  }
 }
 
 void GridVinePeer::ResolveBoundCall(uint64_t exec_id, uint64_t call_id) {
@@ -1477,14 +1448,12 @@ void GridVinePeer::HandleBoundScanRequest(const BoundScanRequest& req) {
 }
 
 void GridVinePeer::HandleBoundScanResponse(const BoundScanResponse& resp) {
-  auto it = active_execs_.find(resp.exec_id);
-  if (it == active_execs_.end()) return;  // exec finished: late answer
-  ActiveExec& ae = *it->second;
-  auto d = ae.open_scans.find(resp.dispatch_id);
+  auto d = branches_.find(resp.dispatch_id);
   // A response for a branch that is no longer open is a duplicate (both the
-  // original and a retry answering): every branch is accounted exactly once.
-  if (d == ae.open_scans.end()) return;
-  OpenBoundScan& ob = d->second;
+  // original and a retry answering) or a late answer to a finished exec:
+  // every branch is accounted exactly once.
+  if (d == branches_.end() || d->second.owner != resp.exec_id) return;
+  const Branch& branch = d->second;
 
   std::vector<BindingSet> parsed;
   if (!resp.rows.empty()) {
@@ -1506,18 +1475,20 @@ void GridVinePeer::HandleBoundScanResponse(const BoundScanResponse& resp) {
     parsed.resize(resp.probe_index.size());
   }
 
-  auto c = ae.calls.find(ob.call_id);
-  if (c != ae.calls.end()) {
+  auto it = active_execs_.find(resp.exec_id);
+  if (it == active_execs_.end()) return;
+  auto c = it->second->calls.find(branch.call_id);
+  if (c != it->second->calls.end()) {
     for (size_t i = 0; i < parsed.size(); ++i) {
       uint32_t local = resp.probe_index[i];
-      if (local >= ob.global_index.size()) continue;
+      if (local >= branch.global_index.size()) continue;
       QueryBackend::BoundRow br;
-      br.probe_index = ob.global_index[local];
+      br.probe_index = branch.global_index[local];
       br.bindings = std::move(parsed[i]);
       c->second.rows.push_back(std::move(br));
     }
   }
-  CloseBoundScan(resp.exec_id, resp.dispatch_id, /*answered=*/true);
+  CloseBranch(resp.dispatch_id, /*answered=*/true);
 }
 
 // --- Statistics layer ---------------------------------------------------------
@@ -1723,7 +1694,8 @@ size_t GridVinePeer::MemoryFootprint() const {
   // store and overlay at steady state.
   size_t bytes = sizeof(*this) + overlay_->MemoryFootprint() +
                  local_db_.MemoryFootprint();
-  bytes += HashMapBytes(pending_queries_) + HashMapBytes(active_execs_);
+  bytes += HashMapBytes(pending_queries_) + HashMapBytes(active_execs_) +
+           HashMapBytes(branches_);
   if (stats_cache_) bytes += stats_cache_->MemoryFootprint();
   if (serving_sketch_) bytes += serving_sketch_->MemoryFootprint();
   bytes += HashMapBytes(open_stats_reqs_) + HashMapBytes(pending_stats_);

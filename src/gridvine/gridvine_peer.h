@@ -346,6 +346,8 @@ class GridVinePeer {
   size_t ActiveConjunctiveExecs() const { return active_execs_.size(); }
   /// Single-pattern queries still in flight.
   size_t PendingQueryCount() const { return pending_queries_.size(); }
+  /// Retried dispatch and bound-scan branches still open.
+  size_t OpenBranchCount() const { return branches_.size(); }
 
   const Options& options() const { return options_; }
 
@@ -359,16 +361,29 @@ class GridVinePeer {
     std::vector<BindingSet> rows;
   };
 
-  /// One retried dispatch branch of a pending query: the request is kept so
-  /// a retry re-routes the identical payload (same dispatch_id — duplicate
-  /// answers collapse onto one branch closure).
-  struct OpenDispatch {
-    std::shared_ptr<QueryRequest> req;
+  /// One retried issuer-side branch: a single-pattern dispatch of a pending
+  /// query, or one destination key region of a bound-scan call. The request
+  /// is kept so a retry re-routes the identical payload (same dispatch_id —
+  /// duplicate answers collapse onto one branch closure).
+  struct Branch {
+    std::shared_ptr<const MessageBody> req;
     Key route_key;
     int attempts = 1;
-    /// "op.dispatch" branch span; attempts' flights and retry markers
-    /// parent here.
+    /// When the current attempt's timer was armed: the start of the
+    /// retroactive "op.backoff" interval a retry records. Kept rather than
+    /// recomputed as now - timeout, which floating-point rounding can push
+    /// before the parent span's start.
+    SimTime armed_at = 0;
+    /// "op.dispatch" or "op.bound_scan" branch span; attempts' flights and
+    /// retry markers parent here.
     TraceCtx span;
+    /// The owning query id, or exec id for a bound-scan branch.
+    uint64_t owner = 0;
+    /// Bound-scan branches only: the owning call (call ids start at 1, so 0
+    /// marks a query branch) and the map from the branch's local probe
+    /// indexes back to the call's.
+    uint64_t call_id = 0;
+    std::vector<uint32_t> global_index;
   };
 
   struct PendingQuery {
@@ -383,8 +398,8 @@ class GridVinePeer {
     SimTime first_result = -1;
     // Iterative-mode bookkeeping: branches still expected to answer.
     int outstanding = 0;
-    // Dispatch branches awaiting an answer, keyed by dispatch_id.
-    std::unordered_map<uint64_t, OpenDispatch> open_dispatches;
+    // Dispatch ids of the query's tracked branches (open or closed).
+    std::vector<uint64_t> branches;
     // Range (multicast) dispatches have an unknown number of responders:
     // such a query only completes at its timeout.
     bool used_range_dispatch = false;
@@ -419,31 +434,35 @@ class GridVinePeer {
   void FinishQuery(uint64_t qid);
   void MaybeFinishIterative(uint64_t qid);
 
-  /// Arms the per-branch retry timer for `attempt` of dispatch `did`: on
-  /// expiry the branch is re-routed (backoff per Options::query_retry) or,
-  /// once exhausted, closed so the query can complete without it.
-  void ArmDispatchTimer(uint64_t qid, uint64_t did, int attempt);
-  /// Closes one open dispatch branch and updates completion bookkeeping.
-  void CloseDispatch(PendingQuery& p, uint64_t qid, uint64_t did);
+  /// A branch of query `qid` closed (answered or written off): iterative
+  /// completion counts it off.
+  void CountOffBranch(PendingQuery& p, uint64_t qid);
+
+  // --- Retried branches (single-pattern dispatches and bound scans) --------
+
+  /// Registers `branch` under `did`, sends `req` towards `key` (through the
+  /// region's batch when `batchable` and batching is on, else routed) and
+  /// arms its first retry timer.
+  void OpenBranch(uint64_t did, Branch branch,
+                  std::shared_ptr<const MessageBody> req, const Key& key,
+                  bool batchable);
+  /// Arms the retry timer for `attempt` of branch `did`: on expiry the
+  /// branch is re-routed (backoff per Options::query_retry) or, once
+  /// exhausted, closed so its owner can complete without it.
+  void ArmBranchTimer(uint64_t did, int attempt);
+  /// Closes branch `did` (answered or exhausted), then runs its owner's
+  /// completion step: the query's branch count, or the bound-scan call's
+  /// countdown (which resolves the call once its last branch closes).
+  void CloseBranch(uint64_t did, bool answered);
+  /// Ends a branch's span; an unanswered branch is marked timed out.
+  void EndBranchSpan(const Branch& branch, bool answered);
+  /// Drops the branches among `dids` still open when their owner finishes.
+  void DropBranches(const std::vector<uint64_t>& dids);
 
   // --- Bind-join transport (the QueryBackend the executor drives) ----------
 
   /// The peer-side QueryBackend implementation (defined in the .cc).
   class ExecBackend;
-
-  /// One retried bound-scan dispatch branch (one destination key region of
-  /// one BoundScan call). The request is retained so a retry re-routes the
-  /// identical payload; duplicate answers collapse onto one branch closure.
-  struct OpenBoundScan {
-    std::shared_ptr<BoundScanRequest> req;
-    Key route_key;
-    int attempts = 1;
-    uint64_t call_id = 0;
-    /// Maps the branch's local probe indexes back to the call's.
-    std::vector<uint32_t> global_index;
-    /// "op.bound_scan" branch span.
-    TraceCtx span;
-  };
 
   /// One QueryBackend::BoundScan invocation: its probes fan out to one
   /// dispatch branch per destination key region; the call resolves once
@@ -460,8 +479,8 @@ class GridVinePeer {
   struct ActiveExec {
     std::unique_ptr<QueryBackend> backend;
     std::unique_ptr<ConjunctiveExecutor> executor;
-    std::unordered_map<uint64_t, OpenBoundScan> open_scans;  // by dispatch_id
-    std::unordered_map<uint64_t, BoundCall> calls;           // by call id
+    std::vector<uint64_t> branches;                  // bound-scan dispatch ids
+    std::unordered_map<uint64_t, BoundCall> calls;  // by call id
     uint64_t next_call_id = 1;
     /// "op.cquery" root span covering the whole conjunctive query.
     TraceCtx span;
@@ -475,11 +494,6 @@ class GridVinePeer {
                       std::vector<BindingSet> probes,
                       QueryBackend::BoundScanCallback cb,
                       TraceCtx trace_parent = TraceCtx{});
-  /// Per-branch retry timer, mirroring ArmDispatchTimer.
-  void ArmBoundScanTimer(uint64_t exec_id, uint64_t did, int attempt);
-  /// Closes one branch (answered or exhausted) and resolves the call once
-  /// its last branch closes.
-  void CloseBoundScan(uint64_t exec_id, uint64_t did, bool answered);
   void ResolveBoundCall(uint64_t exec_id, uint64_t call_id);
 
   /// Extension dispatch from the overlay.
@@ -545,6 +559,10 @@ class GridVinePeer {
   std::unique_ptr<PGridPeer> overlay_;
   TripleStore local_db_;
   std::unordered_map<uint64_t, PendingQuery> pending_queries_;
+  /// Open retried branches of every query and conjunctive exec, keyed by
+  /// dispatch id (unique per peer). An owner drops its open ones when it
+  /// finishes, so a branch found here always has a live owner.
+  std::unordered_map<uint64_t, Branch> branches_;
   /// Conjunctive executors in flight, keyed by exec id. shared_ptr so a
   /// finished exec can be kept alive until the stack unwinds (the done
   /// callback fires from inside executor code).

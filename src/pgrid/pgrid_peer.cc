@@ -332,20 +332,6 @@ bool PGridPeer::FailoverPending(uint64_t request_id) {
 
 // --- Extension interface ------------------------------------------------------
 
-std::optional<NodeId> PGridPeer::PayloadNextHop(const Key& key,
-                                                NodeId exclude) {
-  if (!options_.load_aware) return routing_.NextHop(key, &rng_, exclude);
-  auto next = routing_.NextHopLeastLoaded(
-      key,
-      [this](NodeId id) {
-        auto it = send_loads_.find(id);
-        return it == send_loads_.end() ? uint64_t{0} : it->second;
-      },
-      exclude);
-  if (next.has_value()) ++send_loads_[*next];
-  return next;
-}
-
 void PGridPeer::Route(const Key& key,
                       std::shared_ptr<const MessageBody> payload) {
   if (IsResponsibleFor(key)) {
@@ -361,7 +347,7 @@ void PGridPeer::Route(const Key& key,
   // lifted onto it for the flight span to parent correctly.
   env->trace_ctx = payload->trace_ctx;
   env->payload = std::move(payload);
-  auto next = PayloadNextHop(key);
+  auto next = routing_.NextHop(key, &rng_);
   if (!next.has_value()) {
     ++counters_.routing_dead_ends;
     return;  // fire-and-forget: the payload protocol's timeout handles loss
@@ -396,7 +382,7 @@ void PGridPeer::RouteRange(const Key& prefix,
     ShowerRange(env);
     return;
   }
-  auto next = PayloadNextHop(prefix);
+  auto next = routing_.NextHop(prefix, &rng_);
   if (!next.has_value()) {
     ++counters_.routing_dead_ends;
     return;
@@ -420,23 +406,7 @@ void PGridPeer::ShowerRange(const RangeEnvelope& env) {
     auto msg = std::make_shared<RangeEnvelope>(env);
     msg->min_level = level + 1;
     msg->hops = env.hops + 1;
-    NodeId target;
-    if (options_.load_aware) {
-      target = refs[0];
-      uint64_t best = 0;
-      for (size_t i = 0; i < refs.size(); ++i) {
-        auto lit = send_loads_.find(refs[i]);
-        uint64_t w = lit == send_loads_.end() ? 0 : lit->second;
-        if (i == 0 || w < best) {
-          target = refs[i];
-          best = w;
-        }
-      }
-      ++send_loads_[target];
-    } else {
-      target = rng_.PickOne(refs);
-    }
-    network_->Send(id_, target, msg);
+    network_->Send(id_, rng_.PickOne(refs), msg);
   }
 }
 
@@ -448,7 +418,7 @@ void PGridPeer::HandleRangeEnvelope(NodeId from, const RangeEnvelope& env) {
     return;
   }
   if (env.hops >= options_.max_hops) return;
-  auto next = PayloadNextHop(env.prefix, /*exclude=*/from);
+  auto next = routing_.NextHop(env.prefix, &rng_, /*exclude=*/from);
   if (!next.has_value()) {
     ++counters_.routing_dead_ends;
     return;
@@ -466,7 +436,7 @@ void PGridPeer::HandleRoutedEnvelope(NodeId from, const RoutedEnvelope& env) {
     return;
   }
   if (env.hops >= options_.max_hops) return;
-  auto next = PayloadNextHop(env.key, /*exclude=*/from);
+  auto next = routing_.NextHop(env.key, &rng_, /*exclude=*/from);
   if (!next.has_value()) {
     ++counters_.routing_dead_ends;
     return;
@@ -675,7 +645,6 @@ size_t PGridPeer::MemoryFootprint() const {
   for (const auto& [rid, p] : pending_) {
     bytes += p.tried_hops.capacity() * sizeof(NodeId);
   }
-  bytes += HashMapBytes(send_loads_);
   bytes += protocol_handlers_.capacity() * sizeof(ProtocolHandler);
   return bytes;
 }

@@ -66,14 +66,6 @@ class PGridPeer : public NetworkNode {
     bool replicate_updates = true;
     /// Hard bound on forwarding chain length (loop safety net).
     int max_hops = 64;
-    /// Load-aware replica selection for fire-and-forget routed payloads
-    /// (Route / envelope forwarding — the RemoteScan/BoundScan read path):
-    /// instead of a uniform draw over the refs at the divergence level, pick
-    /// the one this peer has sent the fewest payloads to (ties by slot
-    /// order). Deterministic — no rng draw — and default-off, so disabled
-    /// runs consume exactly the HEAD random stream. Reliable Retrieve/Update
-    /// keep the randomized+failover discipline either way.
-    bool load_aware = false;
   };
 
   /// Successful lookup payload.
@@ -278,11 +270,6 @@ class PGridPeer : public NetworkNode {
   void HandleUpdateAck(const UpdateAck& ack);
   void HandleReplicaUpdate(const ReplicaUpdate& upd);
 
-  /// Picks the next hop for a fire-and-forget payload: least-loaded when
-  /// Options::load_aware, else one uniform draw (the HEAD behaviour).
-  /// Records the chosen hop in send_loads_ only in load-aware mode.
-  std::optional<NodeId> PayloadNextHop(const Key& key,
-                                       NodeId exclude = kInvalidNode);
 
   Simulator* sim_;
   Network* network_;
@@ -293,9 +280,6 @@ class PGridPeer : public NetworkNode {
   Options options_;
   NodeId id_;
   RoutingTable routing_;
-  /// Payloads routed per destination ref — the state behind load-aware
-  /// selection. Empty (never touched) when Options::load_aware is off.
-  std::unordered_map<NodeId, uint64_t> send_loads_;
   using Storage = std::multimap<Key, std::string>;
   using StorageHandle = Storage::const_iterator;
   /// A (key bits, value) pair probed against the presence index without

@@ -167,37 +167,6 @@ class RoutingTable {
     return block[count - 1];  // unreachable
   }
 
-  /// Deterministic load-aware pick: among the refs at the divergence level
-  /// (minus `exclude` when alternatives exist), returns the one minimizing
-  /// `load(id)`, ties broken by slot order. No rng draw — the caller's
-  /// counters are the only state, which keeps load-aware runs deterministic
-  /// and leaves the random-draw sequence untouched when the feature is off.
-  template <typename LoadFn>
-  std::optional<NodeId> NextHopLeastLoaded(const Key& key, LoadFn&& load,
-                                           NodeId exclude = kInvalidNode) const {
-    int l = DivergenceLevel(key);
-    if (l >= path_.length()) return std::nullopt;
-    const NodeId* block = LevelBlock(l);
-    const uint8_t count = counts_[static_cast<size_t>(l)];
-    if (count == 0) return std::nullopt;
-    uint8_t eligible = 0;
-    for (uint8_t i = 0; i < count; ++i) {
-      if (block[i] != exclude) ++eligible;
-    }
-    const bool filtered = eligible > 0;
-    std::optional<NodeId> best;
-    uint64_t best_load = 0;
-    for (uint8_t i = 0; i < count; ++i) {
-      if (filtered && block[i] == exclude) continue;
-      uint64_t w = load(block[i]);
-      if (!best || w < best_load) {
-        best = block[i];
-        best_load = w;
-      }
-    }
-    return best;
-  }
-
   /// Divergence level of `key` against the path, or path length if the key
   /// lies in this peer's subtree.
   int DivergenceLevel(const Key& key) const;

@@ -224,6 +224,7 @@ void RunConjunctiveChaos(const ChaosConfig& cfg) {
   for (size_t p = 0; p < net.size(); ++p) {
     EXPECT_EQ(net.peer(p)->ActiveConjunctiveExecs(), 0u) << "peer " << p;
     EXPECT_EQ(net.peer(p)->PendingQueryCount(), 0u) << "peer " << p;
+    EXPECT_EQ(net.peer(p)->OpenBranchCount(), 0u) << "peer " << p;
   }
 
   if (cfg.stats) {
@@ -506,6 +507,7 @@ std::string RunSelforgChaos(uint64_t seed) {
   for (size_t p = 0; p < net.size(); ++p) {
     EXPECT_EQ(net.peer(p)->ActiveConjunctiveExecs(), 0u) << "peer " << p;
     EXPECT_EQ(net.peer(p)->PendingQueryCount(), 0u) << "peer " << p;
+    EXPECT_EQ(net.peer(p)->OpenBranchCount(), 0u) << "peer " << p;
   }
 
   // Wire invariants with mediation-layer message types in the mix.

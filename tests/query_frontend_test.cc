@@ -82,6 +82,7 @@ TEST(QueryFrontendTest, ShedsWithOverloadWhenQueueFull) {
   for (size_t p = 0; p < net.size(); ++p) {
     EXPECT_EQ(net.peer(p)->ActiveConjunctiveExecs(), 0u) << "peer " << p;
     EXPECT_EQ(net.peer(p)->PendingQueryCount(), 0u) << "peer " << p;
+    EXPECT_EQ(net.peer(p)->OpenBranchCount(), 0u) << "peer " << p;
   }
 }
 
@@ -134,6 +135,7 @@ TEST(QueryFrontendTest, ConjunctiveSubmissionsShareTheSameLimits) {
   for (size_t p = 0; p < net.size(); ++p) {
     EXPECT_EQ(net.peer(p)->ActiveConjunctiveExecs(), 0u) << "peer " << p;
     EXPECT_EQ(net.peer(p)->PendingQueryCount(), 0u) << "peer " << p;
+    EXPECT_EQ(net.peer(p)->OpenBranchCount(), 0u) << "peer " << p;
   }
 }
 

@@ -1,5 +1,7 @@
 #include "selforg/self_organizer.h"
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "workload/bio_workload.h"
@@ -197,17 +199,11 @@ TEST_F(SelfOrganizerTest, ErroneousMappingGetsDeprecated) {
   }
 }
 
-TEST_F(SelfOrganizerTest, LegacyModeDeprecatesErroneousMappingToo) {
-  // Same scenario as ErroneousMappingGetsDeprecated, with the incremental
-  // assessor disabled: the two assessment paths must reach the same
-  // deprecation decisions.
-  auto opts = OrgOptions();
-  opts.incremental = false;
-  organizer_ = std::make_unique<SelfOrganizer>(&net_, opts);
+TEST_F(SelfOrganizerTest, DeprecationsMatchFullRecomputeOracle) {
+  // Same scenario as ErroneousMappingGetsDeprecated: the round's incremental
+  // assessment must reach the deprecation decisions a from-scratch
+  // MappingAssessor reaches on the same graph view.
   const auto& schemas = workload_.schemas();
-  for (size_t s = 0; s < schemas.size(); ++s) {
-    organizer_->RegisterSchemaOwner(schemas[s].name(), s);
-  }
   for (size_t i = 0; i < schemas.size(); ++i) {
     for (size_t j = i + 1; j < schemas.size(); ++j) {
       if (i == 1 && j == 2) continue;
@@ -223,10 +219,22 @@ TEST_F(SelfOrganizerTest, LegacyModeDeprecatesErroneousMappingToo) {
       net_.InsertMapping(1, workload_.ErroneousMapping(1, 2, "bad-1-2", &rng))
           .ok());
 
+  // The oracle assesses the view the round starts from.
+  const auto opts = OrgOptions();
+  organizer_->SyncGraphView();
+  auto oracle = MappingAssessor(opts.assessor).Assess(organizer_->graph_view());
+  std::set<std::string> expected;
+  for (const auto& [id, posterior] : oracle.posterior) {
+    if (posterior < opts.deprecate_below) expected.insert(id);
+  }
+
   auto report = organizer_->RunRound();
-  EXPECT_EQ(report.bp_messages, 0u);  // incremental machinery idle
-  ASSERT_EQ(report.deprecated_ids.size(), 1u);
-  EXPECT_EQ(report.deprecated_ids[0], "bad-1-2");
+  ASSERT_EQ(report.mappings_created, 0u);  // the oracle's view is complete
+  EXPECT_GT(report.bp_messages, 0u);       // the incremental path ran
+  std::set<std::string> deprecated(report.deprecated_ids.begin(),
+                                   report.deprecated_ids.end());
+  EXPECT_EQ(deprecated, expected);
+  EXPECT_EQ(deprecated, std::set<std::string>{"bad-1-2"});
 }
 
 TEST_F(SelfOrganizerTest, IncrementalStateMatchesFreshRebuildAfterRounds) {

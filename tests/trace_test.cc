@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gridvine/gridvine_network.h"
+#include "sim/fault_plan.h"
 
 namespace gridvine {
 namespace {
@@ -446,6 +447,79 @@ TEST(TracePropagationTest, ConjunctiveQueryCoversItsMessages) {
   EXPECT_GE(double(covered), 0.95 * double(sent_delta))
       << "flight spans " << covered << " of " << sent_delta << " messages";
   EXPECT_LE(covered, sent_delta);
+}
+
+
+// A bind-join's retry wait is retry time, not compute: the bound-scan
+// branch records the same "op.backoff" interval a dispatch branch does.
+TEST(TracePropagationTest, BoundScanRetryRecordsBackoff) {
+  struct Run {
+    GridVinePeer::ConjunctiveResult res;
+    std::vector<Tracer::Span> spans;
+  };
+  // Same seed both times, so the run is identical up to the loss window.
+  auto run = [](std::unique_ptr<FaultPlan> plan) {
+    GridVineNetwork::Options o = SmallNet(25);
+    o.peer.query_timeout = 20.0;  // room for a retried branch
+    GridVineNetwork net(o);
+    EXPECT_TRUE(net.InsertSchema(0, Schema("A", "d", {"type", "size"})).ok());
+    std::vector<Triple> triples;
+    for (int e = 0; e < 8; ++e) {
+      std::string subj = "x:e" + std::to_string(e);
+      triples.push_back(T(subj, "x:type", e % 2 ? "gadget" : "widget"));
+      triples.push_back(T(subj, "x:size", std::to_string(e % 3)));
+    }
+    EXPECT_TRUE(net.InsertTriples(0, triples).ok());
+    if (plan != nullptr) net.network()->SetFaultPlan(std::move(plan));
+    net.tracer()->Enable();
+    ConjunctiveQuery q(
+        {"x", "l"},
+        {TriplePattern(Term::Var("x"), Term::Uri("x:type"),
+                       Term::Literal("gadget")),
+         TriplePattern(Term::Var("x"), Term::Uri("x:size"), Term::Var("l"))});
+    Run r;
+    r.res = net.SearchForConjunctive(2, q);
+    r.spans = net.tracer()->Snapshot();
+    return r;
+  };
+  auto first_bound_scan = [](const std::vector<Tracer::Span>& spans) {
+    const Tracer::Span* found = nullptr;
+    for (const Tracer::Span& s : spans) {
+      if (s.name == "op.bound_scan" &&
+          (found == nullptr || s.start < found->start)) {
+        found = &s;
+      }
+    }
+    return found;
+  };
+
+  Run clean = run(nullptr);
+  ASSERT_TRUE(clean.res.status.ok());
+  const Tracer::Span* probe = first_bound_scan(clean.spans);
+  ASSERT_NE(probe, nullptr) << "the query must bind-join";
+  EXPECT_EQ(TraceAnalyzer(clean.spans).CountNamed("op.backoff"), 0u);
+
+  // Drop every send at the instant the first bound-scan request leaves.
+  auto plan = std::make_unique<FaultPlan>();
+  FaultPlan::LossBurst burst;
+  burst.start = probe->start;
+  burst.end = probe->start + 0.001;
+  burst.probability = 1.0;
+  plan->AddLossBurst(burst);
+  Run lossy = run(std::move(plan));
+  ASSERT_TRUE(lossy.res.status.ok()) << lossy.res.status;
+  EXPECT_EQ(lossy.res.rows.size(), clean.res.rows.size());
+
+  const Tracer::Span* scan = first_bound_scan(lossy.spans);
+  ASSERT_NE(scan, nullptr);
+  size_t backoffs = 0;
+  for (const Tracer::Span& s : lossy.spans) {
+    if (s.name == "op.backoff" && s.parent_id == scan->span_id) ++backoffs;
+  }
+  EXPECT_EQ(backoffs, 1u);
+  TraceAnalyzer ta(lossy.spans);
+  EXPECT_EQ(ta.CheckConsistency(), "");
+  EXPECT_GT(ta.CriticalPathFor(lossy.res.trace_id).retry, 0.0);
 }
 
 }  // namespace
