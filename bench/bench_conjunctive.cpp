@@ -15,14 +15,13 @@
 // same result set, or the bench aborts.
 //
 // The second half is the Zipf skew sweep: predicate extents drawn from a
-// Zipf(s) size distribution, queried greedy vs cost-based vs adaptive. The
-// greedy heuristic cannot tell the hot extent from a cold one of the same
-// pattern shape, so it leads every join with the hot extent; the cost-based
-// planner leads with the cold one from fetched sketches (acceptance floor:
-// 2x fewer rows+bytes at equal recall). A drift phase then grows cold
-// extents under the static planner's stale sketches — adaptive
-// re-optimization plus observed-cardinality feedback must recover while
-// static cost-based keeps paying for its stale choice.
+// Zipf(s) size distribution, queried greedy vs cost-based. The greedy
+// heuristic cannot tell the hot extent from a cold one of the same pattern
+// shape, so it leads every join with the hot extent; the cost-based planner
+// leads with the cold one from fetched sketches (acceptance floor: 2x fewer
+// rows+bytes at equal recall). A drift phase then grows cold extents under
+// the planner's stale sketches; the observed full-scan cardinalities each
+// query feeds back are what the cost-based planner has to recover with.
 
 #include <cmath>
 #include <cstdio>
@@ -34,7 +33,6 @@
 #include "bench_json.h"
 #include "trace_stats.h"
 #include "gridvine/gridvine_network.h"
-#include "pgrid/load_stats.h"
 #include "query/stats/sketch.h"
 #include "store/binding_codec.h"
 
@@ -171,7 +169,7 @@ ModeStats RunMode(bool bind_join, size_t entities, size_t selectivity,
   return stats;
 }
 
-// --- Zipf skew sweep: greedy vs cost-based vs adaptive -----------------------
+// --- Zipf skew sweep: greedy vs cost-based ----------------------------------
 
 constexpr size_t kZipfPreds = 8;
 
@@ -227,18 +225,15 @@ std::vector<ConjunctiveQuery> MakeZipfQueries() {
 
 struct ZipfModeCfg {
   const char* row;
-  int mode;  ///< 0 = greedy, 1 = static cost-based, 2 = adaptive
+  int mode;  ///< 0 = greedy, 1 = cost-based
   bool stats;
-  double divergence;
 };
 
 struct ZipfStats {
   uint64_t rows = 0, bytes = 0, messages = 0;
   uint64_t drift_rows = 0, drift_bytes = 0;
-  uint64_t reoptimizations = 0;
   double latency_sum = 0;
   size_t queries = 0;
-  double imbalance = 0, gini = 0;
   std::vector<std::set<std::string>> row_sets;
 };
 
@@ -251,9 +246,8 @@ ZipfStats RunZipfMode(const ZipfModeCfg& cfg, size_t entities, double zipf_s,
   if (cfg.stats) {
     options.peer.stats.enabled = true;
     // Never expire: the drift phase measures what stale sketches cost the
-    // static planner, so TTL refresh must not bail it out.
+    // planner, so TTL refresh must not bail it out.
     options.peer.stats.ttl = 1e9;
-    options.peer.stats.divergence = cfg.divergence;
   }
   GridVineNetwork net(options);
   if (!net.InsertTriples(0, MakeZipfTriples(entities, zipf_s)).ok()) {
@@ -276,7 +270,6 @@ ZipfStats RunZipfMode(const ZipfModeCfg& cfg, size_t entities, double zipf_s,
     if (rows_sink == nullptr) return;
     *rows_sink += res.metrics.RowsShipped();
     stats.latency_sum += res.latency;
-    stats.reoptimizations += res.metrics.reoptimizations;
     ++stats.queries;
     std::set<std::string> rows;
     for (const auto& row : res.rows) rows.insert(SerializeBindings({row}));
@@ -303,14 +296,11 @@ ZipfStats RunZipfMode(const ZipfModeCfg& cfg, size_t entities, double zipf_s,
   }
   net.Settle();
   measure(&stats.drift_rows, &stats.drift_bytes);
-  auto loads = ComputeRequestLoadStats(net.overlay_peers());
-  stats.imbalance = loads.max_over_mean;
-  stats.gini = loads.gini;
   return stats;
 }
 
 /// Mean relative error of the extent-cardinality estimates a mode plans
-/// with, against ground truth on the pre-drift data. Cost/adaptive plan
+/// with, against ground truth on the pre-drift data. Cost-based plans come
 /// from KMV sketches; greedy has no statistics, so its implicit prior is
 /// "every extent is average-sized".
 double ZipfEstError(size_t entities, double zipf_s, bool sketched) {
@@ -431,36 +421,31 @@ int main(int argc, char** argv) {
   const size_t kZipfEntities = EnvOr("GV_ZIPF_ENTITIES", quick ? 120 : 400);
   const size_t kZipfRounds = EnvOr("GV_ZIPF_ROUNDS", quick ? 2 : 4);
 
-  std::printf("\nZipf(%.1f) skew sweep: greedy vs cost-based vs adaptive\n",
+  std::printf("\nZipf(%.1f) skew sweep: greedy vs cost-based\n",
               kZipfS);
   std::printf("  entities=%zu preds=%zu rounds=%zu seed=%llu\n", kZipfEntities,
               kZipfPreds, kZipfRounds, (unsigned long long)kSeed);
 
   const ZipfModeCfg kModes[] = {
-      {"zipf_greedy", 0, /*stats=*/false, /*divergence=*/0.0},
-      {"zipf_cost", 1, /*stats=*/true, /*divergence=*/0.0},
-      {"zipf_adaptive", 2, /*stats=*/true, /*divergence=*/2.0},
+      {"zipf_greedy", 0, /*stats=*/false},
+      {"zipf_cost", 1, /*stats=*/true},
   };
-  ZipfStats zs[3];
-  for (int m = 0; m < 3; ++m) {
+  ZipfStats zs[2];
+  for (int m = 0; m < 2; ++m) {
     zs[m] = RunZipfMode(kModes[m], kZipfEntities, kZipfS, kZipfRounds, kSeed);
   }
-  // Equal recall, phase by phase: all three modes must agree on every
-  // result set (drift data joins nothing, so the drift phase agrees too).
-  for (int m = 1; m < 3; ++m) {
-    if (zs[m].row_sets != zs[0].row_sets) {
-      std::fprintf(stderr, "DIFFERENTIAL MISMATCH: %s result sets differ "
-                           "from greedy\n",
-                   kModes[m].row);
-      return 1;
-    }
+  // Equal recall, phase by phase: both modes must agree on every result set
+  // (drift data joins nothing, so the drift phase agrees too).
+  if (zs[1].row_sets != zs[0].row_sets) {
+    std::fprintf(stderr, "DIFFERENTIAL MISMATCH: %s result sets differ "
+                         "from greedy\n",
+                 kModes[1].row);
+    return 1;
   }
 
-  std::printf("\n  %-24s %12s %12s %12s\n", "metric", "greedy", "cost",
-              "adaptive");
+  std::printf("\n  %-24s %12s %12s\n", "metric", "greedy", "cost");
   auto zrow = [&](const char* label, auto get) {
-    std::printf("  %-24s %12.0f %12.0f %12.0f\n", label, get(zs[0]),
-                get(zs[1]), get(zs[2]));
+    std::printf("  %-24s %12.0f %12.0f\n", label, get(zs[0]), get(zs[1]));
   };
   zrow("rows shipped", [](const ZipfStats& s) { return double(s.rows); });
   zrow("bytes", [](const ZipfStats& s) { return double(s.bytes); });
@@ -468,27 +453,16 @@ int main(int argc, char** argv) {
   zrow("drift rows shipped",
        [](const ZipfStats& s) { return double(s.drift_rows); });
   zrow("drift bytes", [](const ZipfStats& s) { return double(s.drift_bytes); });
-  zrow("re-optimizations",
-       [](const ZipfStats& s) { return double(s.reoptimizations); });
-  std::printf("  %-24s %12.3f %12.3f %12.3f\n", "replica max/mean",
-              zs[0].imbalance, zs[1].imbalance, zs[2].imbalance);
 
   const double greedy_over_cost_rows =
       zs[1].rows == 0 ? 0 : double(zs[0].rows) / double(zs[1].rows);
   const double greedy_over_cost_bytes =
       zs[1].bytes == 0 ? 0 : double(zs[0].bytes) / double(zs[1].bytes);
-  const double cost_over_adaptive_drift =
-      zs[2].drift_rows == 0
-          ? 0
-          : double(zs[1].drift_rows) / double(zs[2].drift_rows);
   std::printf("\n  greedy/cost rows: %.2fx  bytes: %.2fx "
               "(acceptance floor 2x)\n",
               greedy_over_cost_rows, greedy_over_cost_bytes);
-  std::printf("  static-cost/adaptive drift rows: %.2fx "
-              "(adaptive must stay >= 0.95)\n",
-              cost_over_adaptive_drift);
 
-  for (int m = 0; m < 3; ++m) {
+  for (int m = 0; m < 2; ++m) {
     const ZipfStats& s = zs[m];
     json.Add(kModes[m].row,
              {{"mode", double(kModes[m].mode)},
@@ -499,17 +473,13 @@ int main(int argc, char** argv) {
                s.queries == 0 ? 0 : s.latency_sum / double(s.queries)},
               {"est_error",
                ZipfEstError(kZipfEntities, kZipfS, kModes[m].stats)},
-              {"replica_imbalance", s.imbalance},
-              {"load_gini", s.gini},
               {"drift_rows_shipped", double(s.drift_rows)},
-              {"drift_bytes", double(s.drift_bytes)},
-              {"reoptimizations", double(s.reoptimizations)}});
+              {"drift_bytes", double(s.drift_bytes)}});
   }
   json.Add("zipf_summary",
            {{"zipf_s", kZipfS},
             {"greedy_over_cost_rows", greedy_over_cost_rows},
             {"greedy_over_cost_bytes", greedy_over_cost_bytes},
-            {"cost_over_adaptive_drift_rows", cost_over_adaptive_drift},
             {"differential_ok", 1.0}});
   json.Finish();
   return 0;

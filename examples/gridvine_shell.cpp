@@ -102,7 +102,8 @@ int main(int argc, char** argv) {
   // enters through the issuing peer's QueryFrontend ('frontend stats').
   options.peer.cache.enabled = true;
   // Statistics too, so 'plan explain' and conjunctive queries show the
-  // cost-based/adaptive pipeline (stale caches degrade to greedy).
+  // cost-based pipeline with its observed-extent feedback (stale caches
+  // degrade to greedy).
   options.peer.stats.enabled = true;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];

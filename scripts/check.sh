@@ -3,8 +3,8 @@
 # sequence ROADMAP.md names as the bar every change must keep green.
 #
 #   $ scripts/check.sh            # RelWithDebInfo build + ctest
-#   $ scripts/check.sh --asan     # ASan/UBSan build, runs store, query,
-#                                 # overlay-storage and query-branch tests
+#   $ scripts/check.sh --asan     # ASan/UBSan build of every target, runs
+#                                 # the whole tier-1 ctest suite under it
 #   $ scripts/check.sh --tsan     # TSan build, runs the sharded-engine tests
 set -euo pipefail
 
@@ -31,29 +31,14 @@ if [[ "${1:-}" == "--tsan" ]]; then
 fi
 
 if [[ "${1:-}" == "--asan" ]]; then
+  # The whole tier-1 suite under ASan/UBSan: every target is built (so every
+  # test binary ctest discovers exists) and ctest runs all of it. Tests that
+  # measure allocation counts skip themselves under the sanitizers.
   cmake -B build-san -S . -DGV_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-san -j "$(nproc)" --target triple_store_test query_test \
-    property_test pgrid_peer_test exchange_test online_exchange_test \
-    gridvine_peer_test executor_test serving_test
+  cmake --build build-san -j "$(nproc)"
   export ASAN_OPTIONS=detect_leaks=1
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
-  ./build-san/tests/triple_store_test
-  ./build-san/tests/query_test
-  ./build-san/tests/property_test
-  # Overlay storage: the presence index holds iterators into the storage
-  # multimap, so a stale handle after an erase or eviction is a
-  # use-after-free these suites would surface.
-  ./build-san/tests/pgrid_peer_test
-  ./build-san/tests/exchange_test
-  ./build-san/tests/online_exchange_test
-  # Retried query branches: dispatches and bound scans share one branch
-  # table, erased on answer, exhaustion and owner finish. gridvine_peer_test
-  # and serving_test drive it through retries, duplicate answers and
-  # batching, where a use after erase would show; executor_test covers the
-  # executor that every resolved bound-scan call re-enters.
-  ./build-san/tests/gridvine_peer_test
-  ./build-san/tests/executor_test
-  ./build-san/tests/serving_test
+  (cd build-san && ctest --output-on-failure -j "$(nproc)")
   echo "sanitizer run clean"
   exit 0
 fi

@@ -174,10 +174,10 @@ EOF
     cp "$serving_json" "$GV_ARTIFACT_DIR/"
   fi
 fi
-# Adaptive-execution smoke: bench_conjunctive ran the Zipf skewed-workload
-# sweep in the loop above (greedy vs cost-based vs adaptive). Validate that
-# the three mode rows and the summary carry the keys CI consumers graph,
-# that all modes returned identical results, and — full runs only — that
+# Cost-based planning smoke: bench_conjunctive ran the Zipf skewed-workload
+# sweep in the loop above (greedy vs cost-based). Validate that the two
+# mode rows and the summary carry the keys CI consumers graph, that both
+# modes returned identical results, and — full runs only — that
 # cost-based actually beat greedy on shipped rows (quick runs shrink the
 # corpus too far to hold the full-run ratio to a floor). In quick mode CI
 # uploads the JSON as the Zipf-sweep artifact.
@@ -189,10 +189,10 @@ import json, os, sys
 
 doc = json.load(open(sys.argv[1]))
 rows = {r["name"]: r for r in doc["benchmarks"]}
-required_rows = ["zipf_greedy", "zipf_cost", "zipf_adaptive", "zipf_summary"]
+required_rows = ["zipf_greedy", "zipf_cost", "zipf_summary"]
 required_keys = ["mode", "rows_shipped", "bytes", "messages", "est_error",
-                 "replica_imbalance", "drift_rows_shipped"]
-for mode in required_rows[:3]:
+                 "drift_rows_shipped"]
+for mode in required_rows[:2]:
     name = "bench_conjunctive/" + mode
     if name not in rows:
         sys.exit(f"missing row {name}")
@@ -209,9 +209,7 @@ if os.environ.get("GV_BENCH_FULL") == "1" and ratio < 2.0:
     sys.exit(f"cost-based plan only {ratio:.2f}x better than greedy "
              f"on shipped rows (acceptance floor is 2x)")
 print(f"  ok: greedy/cost rows={ratio:.2f}x "
-      f"bytes={summary['greedy_over_cost_bytes']:.2f}x "
-      f"adaptive drift advantage="
-      f"{summary['cost_over_adaptive_drift_rows']:.2f}x")
+      f"bytes={summary['greedy_over_cost_bytes']:.2f}x")
 EOF
   if [[ "$quick" -eq 1 && -n "${GV_ARTIFACT_DIR:-}" ]]; then
     mkdir -p "$GV_ARTIFACT_DIR"

@@ -1110,9 +1110,6 @@ void GridVinePeer::StartConjunctive(const ConjunctiveQuery& query,
     if (!popts.estimates.empty()) tr->Annotate(ae->span, "cost_based", 1.0);
     ae->executor->EnableTracing(tr, ae->span);
   }
-  if (!popts.estimates.empty() && options_.stats.divergence > 0) {
-    ae->executor->EnableAdaptive(popts, options_.stats.divergence);
-  }
   // Observed-extent feedback targets (pattern serializations), captured up
   // front so the done lambda needs no reference back into the query.
   std::vector<std::string> pkeys;
@@ -1148,10 +1145,6 @@ void GridVinePeer::StartConjunctive(const ConjunctiveQuery& query,
       if (Tracer* tr = LiveTracer()) {
         tr->Annotate(cspan, "rows", double(res.rows.size()));
         tr->Annotate(cspan, "rows_shipped", double(res.metrics.RowsShipped()));
-        if (res.metrics.reoptimizations > 0) {
-          tr->Annotate(cspan, "reoptimizations",
-                       double(res.metrics.reoptimizations));
-        }
         if (!res.status.ok()) tr->Annotate(cspan, "error", 1.0);
         tr->EndSpan(cspan);
       }

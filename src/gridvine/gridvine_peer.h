@@ -111,8 +111,9 @@ class GridVinePeer {
     /// Distributed statistics + cost-based conjunctive planning
     /// (query/stats/): before planning, the issuer fetches the StoreSketch
     /// of each key region its patterns route to (cached with bounded
-    /// staleness), orders joins by estimated cardinality, and the executor
-    /// re-optimizes mid-flight when observations diverge. Off = legacy
+    /// staleness) and orders joins by estimated cardinality; each finished
+    /// query feeds its observed full-scan extents back into the cache, so
+    /// the next plan over those patterns uses ground truth. Off = legacy
     /// greedy planning; seeded runs replay bit-identically.
     struct StatsOptions {
       bool enabled = false;
@@ -122,11 +123,6 @@ class GridVinePeer {
       /// degrading the unanswered regions to the greedy rank. Fetches are
       /// single-attempt: a lost record costs accuracy, never correctness.
       SimTime fetch_timeout = 1.0;
-      /// Mid-flight re-optimization threshold: the group's operator suffix
-      /// is re-planned when observed/estimated cardinality diverges by this
-      /// factor (either direction). <= 0 disables adaptive execution
-      /// (static cost-based plans only).
-      double divergence = 4.0;
     } stats;
   };
 
@@ -302,8 +298,8 @@ class GridVinePeer {
   /// Human-readable plan explanation: the physical plan this peer would
   /// execute for `query` right now (greedy, or cost-based from whatever
   /// sketches its statistics cache currently holds — no fetches are
-  /// issued), with per-pattern estimated rows and the last observed
-  /// cardinality fed back by the adaptive executor.
+  /// issued), with per-pattern estimated rows and the last full-scan
+  /// cardinality a finished query fed back into the statistics cache.
   std::string ExplainConjunctivePlan(const ConjunctiveQuery& query,
                                      const QueryOptions& options);
 

@@ -15,13 +15,6 @@ ConjunctiveExecutor::ConjunctiveExecutor(const ConjunctiveQuery& query,
   observed_extents_.assign(query_.patterns().size(), -1.0);
 }
 
-void ConjunctiveExecutor::EnableAdaptive(PlanOptions plan_options,
-                                         double divergence_factor) {
-  adaptive_ = divergence_factor > 0;
-  adaptive_options_ = std::move(plan_options);
-  divergence_ = divergence_factor;
-}
-
 const TriplePattern& ConjunctiveExecutor::PatternOf(
     const PlanStep& step) const {
   return query_.patterns()[step.pattern];
@@ -101,8 +94,6 @@ void ConjunctiveExecutor::StepGroup(size_t gi) {
         }
         g.pending.clear();
         g.step++;
-        ++g.patterns_done;
-        if (!g.acc.empty()) MaybeReplan(gi);
         if (g.acc.empty()) {
           // Empty intermediate result. Steps that consume the accumulator
           // (bind-joins) have nothing to dispatch, so when only those remain
@@ -228,12 +219,10 @@ void ConjunctiveExecutor::OnBoundScan(size_t gi,
   }
   g.acc = std::move(next);
   g.probe_members.clear();
-  ++g.patterns_done;
   if (g.acc.empty()) {
     GroupDone(gi, Status::OK());
     return;
   }
-  MaybeReplan(gi);
   g.phase = GroupPhase::kRunning;
   StepGroup(gi);
 }
@@ -253,64 +242,6 @@ void ConjunctiveExecutor::OnExists(size_t gi, Result<bool> r) {
   if (r.value()) g.acc.push_back(BindingSet{});
   g.phase = GroupPhase::kRunning;
   StepGroup(gi);
-}
-
-void ConjunctiveExecutor::MaybeReplan(size_t gi) {
-  if (!adaptive_) return;
-  GroupState& g = groups_[gi];
-  PlanGroup& pg = plan_.groups[gi];
-  if (g.patterns_done == 0 || pg.est_cards.size() < g.patterns_done) return;
-  double est = pg.est_cards[g.patterns_done - 1];
-  if (est <= 0) return;  // the model had no estimate at this position
-  double obs = double(g.acc.size());
-  double ratio = (obs + 1.0) / (est + 1.0);
-  if (ratio < 1.0) ratio = 1.0 / ratio;
-  if (ratio <= divergence_) return;
-
-  // The unexecuted pattern-bearing steps of the chain.
-  std::vector<size_t> remaining;
-  for (size_t si = g.step; si < pg.steps.size(); ++si) {
-    if (pg.steps[si].pattern != PlanStep::kNoPattern) {
-      remaining.push_back(pg.steps[si].pattern);
-    }
-  }
-  if (remaining.empty()) return;
-
-  std::vector<size_t> consumed(pg.patterns.begin(),
-                               pg.patterns.begin() + ptrdiff_t(g.patterns_done));
-  GroupSuffix suffix =
-      PlanGroupSuffix(query_, consumed, remaining, obs, adaptive_options_);
-
-  // Splice only when the continuation actually changed; an unchanged
-  // re-plan is not a re-optimization.
-  bool same = suffix.patterns == remaining &&
-              suffix.steps.size() == pg.steps.size() - g.step;
-  if (same) {
-    for (size_t i = 0; i < suffix.steps.size(); ++i) {
-      const PlanStep& a = suffix.steps[i];
-      const PlanStep& b = pg.steps[g.step + i];
-      if (a.kind != b.kind || a.pattern != b.pattern) {
-        same = false;
-        break;
-      }
-    }
-  }
-  if (same) return;
-
-  pg.patterns = std::move(consumed);
-  pg.patterns.insert(pg.patterns.end(), suffix.patterns.begin(),
-                     suffix.patterns.end());
-  pg.steps.resize(g.step);
-  pg.steps.insert(pg.steps.end(), suffix.steps.begin(), suffix.steps.end());
-  pg.est_cards.resize(g.patterns_done);
-  pg.est_cards.insert(pg.est_cards.end(), suffix.est_cards.begin(),
-                      suffix.est_cards.end());
-  ++metrics_.reoptimizations;
-  if (tracer_ != nullptr && tracer_->enabled() && trace_parent_.valid()) {
-    TraceCtx mark = tracer_->Instant("exec.reoptimize", trace_parent_);
-    tracer_->Annotate(mark, "observed", obs);
-    tracer_->Annotate(mark, "estimated", est);
-  }
 }
 
 void ConjunctiveExecutor::GroupDone(size_t gi, Status status) {

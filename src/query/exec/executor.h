@@ -8,7 +8,6 @@
 #include "common/trace.h"
 #include "query/exec/backend.h"
 #include "query/exec/plan.h"
-#include "query/planner.h"
 #include "query/query.h"
 #include "store/triple_store.h"
 
@@ -17,7 +16,8 @@ namespace gridvine {
 /// Drives one PhysicalPlan over a QueryBackend. Each join-connected group
 /// is an explicit operator state machine — scan, then (bind-)join steps —
 /// and the groups run concurrently; when every group has settled, the tail
-/// merges (cross-group join), projects and deduplicates.
+/// merges (cross-group join), projects and deduplicates. The plan is held
+/// read-only: the executor runs exactly the plan it was given.
 ///
 /// Completion discipline: the done callback fires exactly once, only after
 /// every group reached a terminal phase, which in turn requires every
@@ -38,7 +38,6 @@ class ConjunctiveExecutor {
     uint64_t probe_rows = 0;  ///< binding rows pushed toward the data
     uint64_t scan_rows = 0;   ///< rows shipped back by full-extent scans
     uint64_t bound_rows = 0;  ///< rows shipped back by bind-joins
-    uint64_t reoptimizations = 0;  ///< mid-flight plan-suffix switches
     uint64_t RowsShipped() const { return probe_rows + scan_rows + bound_rows; }
   };
 
@@ -70,15 +69,6 @@ class ConjunctiveExecutor {
   /// SetCallCtx so transport dispatches nest under it. Call before Run().
   void EnableTracing(Tracer* tracer, TraceCtx parent);
 
-  /// Arms mid-flight re-optimization: whenever a group's observed running
-  /// cardinality diverges from the plan's estimate by more than
-  /// `divergence_factor` (either direction), the group's unexecuted operator
-  /// suffix is re-planned (PlanGroupSuffix) against the observed cardinality
-  /// and spliced in. `plan_options` must carry the estimates the plan was
-  /// built from; a plan without est_cards (greedy) never re-optimizes. Call
-  /// before Run().
-  void EnableAdaptive(PlanOptions plan_options, double divergence_factor);
-
   const Metrics& metrics() const { return metrics_; }
 
  private:
@@ -94,9 +84,6 @@ class ConjunctiveExecutor {
     std::vector<BindingSet> pending;  ///< last scan's rows, pre-LocalJoin
     /// Bind-join bookkeeping: which acc rows each probe stands for.
     std::vector<std::vector<size_t>> probe_members;
-    /// Patterns of this group already folded into acc (adaptive divergence
-    /// checks index PlanGroup::est_cards with this).
-    size_t patterns_done = 0;
     /// Pattern index of the scan currently in flight (observed-extent
     /// feedback); kNoPattern when none.
     size_t scan_pattern = PlanStep::kNoPattern;
@@ -107,10 +94,6 @@ class ConjunctiveExecutor {
 
   /// Advances group `gi` until it blocks on a backend call or terminates.
   void StepGroup(size_t gi);
-  /// Adaptive path: compares group `gi`'s observed running cardinality with
-  /// the plan estimate and re-plans + splices the remaining operator suffix
-  /// on divergence. No-op unless EnableAdaptive was called.
-  void MaybeReplan(size_t gi);
   void OnScan(size_t gi, QueryBackend::ScanResult r);
   void OnBoundScan(size_t gi, QueryBackend::BoundScanResult r);
   void OnExists(size_t gi, Result<bool> r);
@@ -125,7 +108,7 @@ class ConjunctiveExecutor {
   void EndOp(TraceCtx* span, std::string_view key, double value);
 
   ConjunctiveQuery query_;
-  PhysicalPlan plan_;
+  const PhysicalPlan plan_;
   QueryBackend* backend_;
   std::vector<GroupState> groups_;
   size_t unsettled_groups_ = 0;
@@ -133,9 +116,6 @@ class ConjunctiveExecutor {
   DoneCallback done_;
   Tracer* tracer_ = nullptr;
   TraceCtx trace_parent_{};
-  bool adaptive_ = false;
-  PlanOptions adaptive_options_;
-  double divergence_ = 4.0;
   /// Per-pattern observed full-scan cardinalities; -1 = not observed.
   std::vector<double> observed_extents_;
 };

@@ -56,8 +56,7 @@ struct PlanGroup {
   std::vector<PlanStep> steps;
   /// Cost-based plans only (empty otherwise): the estimated running join
   /// cardinality after each pattern in `patterns`, parallel to it. 0 marks a
-  /// position the model could not estimate — the adaptive executor skips its
-  /// divergence check there.
+  /// position the model could not estimate.
   std::vector<double> est_cards;
 };
 

@@ -91,28 +91,25 @@ struct CostChain {
   std::vector<double> est_cards;
 };
 
-/// Cost-based chain ordering, shared by PlanPhysical (have_prefix = false:
-/// the chain starts with a RemoteScan lead) and PlanGroupSuffix
-/// (have_prefix = true: every appended pattern extends an existing binding
-/// set). At each step the connected candidate with the smallest estimated
-/// resulting cardinality wins; candidates without an estimate rank after
-/// estimated ones by the greedy (PatternCost, index) key, so a stats
-/// blackout degrades to exactly the greedy choice among them.
+/// Cost-based chain ordering: the chain starts with a RemoteScan lead and
+/// every later pattern extends the running binding set. At each step the
+/// connected candidate with the smallest estimated resulting cardinality
+/// wins; candidates without an estimate rank after estimated ones by the
+/// greedy (PatternCost, index) key, so a stats blackout degrades to exactly
+/// the greedy choice among them.
 CostChain OrderComponentCost(const std::vector<TriplePattern>& patterns,
                              std::vector<size_t> remaining,
-                             std::set<std::string> bound_vars,
-                             double prefix_card, bool have_prefix,
                              const PlanOptions& options) {
   CostChain out;
+  std::set<std::string> bound_vars;
   // Running cardinality estimate; < 0 while unknown (no estimated pattern
   // consumed yet, or an unestimated pattern broke the chain).
-  double cur = have_prefix ? prefix_card : -1.0;
-  bool first = !have_prefix;
+  double cur = -1.0;
   while (!remaining.empty()) {
     // The chain's first pattern resolves as a full RemoteScan, which an
     // unroutable pattern cannot serve — so the lead pick prefers routable
     // candidates outright, whatever their estimates say.
-    const bool lead_pick = first && out.order.empty();
+    const bool lead = out.order.empty();
     size_t best_slot = 0;
     bool best_connected = false;
     bool best_routable = false;
@@ -124,7 +121,7 @@ CostChain OrderComponentCost(const std::vector<TriplePattern>& patterns,
     for (size_t slot = 0; slot < remaining.size(); ++slot) {
       const size_t idx = remaining[slot];
       const TriplePattern& p = patterns[idx];
-      bool connected = lead_pick;
+      bool connected = lead;
       for (const auto& var : p.Variables()) {
         if (bound_vars.count(var)) connected = true;
       }
@@ -133,7 +130,7 @@ CostChain OrderComponentCost(const std::vector<TriplePattern>& patterns,
       double joined = 0;
       if (known) {
         joined = e->rows;
-        if (!lead_pick && cur >= 0) {
+        if (!lead && cur >= 0) {
           joined = cur * e->rows / JoinKeyDistinct(p, *e, bound_vars);
         }
       }
@@ -141,7 +138,7 @@ CostChain OrderComponentCost(const std::vector<TriplePattern>& patterns,
       bool routable = cls != int(PatternCost::kUnroutable);
       auto better = [&] {
         if (connected != best_connected) return connected;
-        if (lead_pick && routable != best_routable) return routable;
+        if (lead && routable != best_routable) return routable;
         if (known != best_known) return known;
         if (known && best_known && joined != best_joined) {
           return joined < best_joined;
@@ -165,7 +162,6 @@ CostChain OrderComponentCost(const std::vector<TriplePattern>& patterns,
     const TriplePattern& p = patterns[chosen];
     const PatternEstimate* e = EstOf(options, chosen);
 
-    const bool lead = first && out.order.empty();
     if (lead) {
       out.steps.push_back({OpKind::kRemoteScan, chosen});
       out.steps.push_back({OpKind::kLocalJoin});
@@ -251,8 +247,8 @@ PhysicalPlan PlanPhysical(const ConjunctiveQuery& query,
     const bool constant_only =
         members.size() == 1 && patterns[members[0]].Variables().empty();
     if (cost_based && !constant_only) {
-      CostChain chain = OrderComponentCost(patterns, std::move(members), {},
-                                           0, /*have_prefix=*/false, options);
+      CostChain chain =
+          OrderComponentCost(patterns, std::move(members), options);
       r.order = std::move(chain.order);
       r.steps = std::move(chain.steps);
       r.est_cards = std::move(chain.est_cards);
@@ -304,26 +300,6 @@ PhysicalPlan PlanPhysical(const ConjunctiveQuery& query,
 
 std::vector<size_t> PlanConjunctive(const ConjunctiveQuery& query) {
   return PlanPhysical(query).Order();
-}
-
-GroupSuffix PlanGroupSuffix(const ConjunctiveQuery& query,
-                            const std::vector<size_t>& consumed,
-                            const std::vector<size_t>& remaining,
-                            double prefix_card, const PlanOptions& options) {
-  std::set<std::string> bound_vars;
-  for (size_t idx : consumed) {
-    for (const auto& var : query.patterns()[idx].Variables()) {
-      bound_vars.insert(var);
-    }
-  }
-  CostChain chain =
-      OrderComponentCost(query.patterns(), remaining, std::move(bound_vars),
-                         prefix_card, /*have_prefix=*/true, options);
-  GroupSuffix suffix;
-  suffix.patterns = std::move(chain.order);
-  suffix.steps = std::move(chain.steps);
-  suffix.est_cards = std::move(chain.est_cards);
-  return suffix;
 }
 
 }  // namespace gridvine

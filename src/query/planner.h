@@ -61,26 +61,6 @@ PhysicalPlan PlanPhysical(const ConjunctiveQuery& query,
 /// into `query.patterns()`. Equivalent to PlanPhysical(query).Order().
 std::vector<size_t> PlanConjunctive(const ConjunctiveQuery& query);
 
-/// A re-planned continuation of one group's operator chain, produced when
-/// the adaptive executor observes a cardinality far from the estimate: the
-/// remaining patterns re-ordered by the cost model against the *observed*
-/// prefix cardinality, with fresh per-edge bind/collect choices.
-struct GroupSuffix {
-  std::vector<size_t> patterns;
-  std::vector<PlanStep> steps;
-  std::vector<double> est_cards;
-};
-
-/// Re-plans the unexecuted tail of a group. `consumed` are the group's
-/// already-executed pattern indexes (their variables are bound),
-/// `remaining` the unexecuted ones, `prefix_card` the observed cardinality
-/// of the running binding set. Deterministic: equal inputs give equal
-/// suffixes.
-GroupSuffix PlanGroupSuffix(const ConjunctiveQuery& query,
-                            const std::vector<size_t>& consumed,
-                            const std::vector<size_t>& remaining,
-                            double prefix_card, const PlanOptions& options);
-
 }  // namespace gridvine
 
 #endif  // GRIDVINE_QUERY_PLANNER_H_

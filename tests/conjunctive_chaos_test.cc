@@ -83,8 +83,8 @@ struct ChaosConfig {
   /// an acceptable terminal status (bounded queue, bursty arrivals).
   bool serving = false;
   int burst = 1;
-  /// Statistics + adaptive execution mode: every peer fetches sketches
-  /// before planning and re-optimizes mid-flight. Under loss, StatsRecords
+  /// Statistics mode: every peer fetches sketches before planning and feeds
+  /// observed extents back after each query. Under loss, StatsRecords
   /// go missing and sketches go stale — planning must degrade to the greedy
   /// rank, never produce wrong answers or leak prefetch state.
   bool stats = false;
@@ -113,7 +113,6 @@ void RunConjunctiveChaos(const ChaosConfig& cfg) {
     options.peer.stats.enabled = true;
     options.peer.stats.ttl = 20.0;  // sketches go stale mid-run
     options.peer.stats.fetch_timeout = 1.0;
-    options.peer.stats.divergence = 2.0;  // re-optimize aggressively
   }
   GridVineNetwork net(options);
 
@@ -325,14 +324,14 @@ TEST(ConjunctiveChaosTest, FlashCrowdServing) {
   RunConjunctiveChaos(cfg);
 }
 
-TEST(ConjunctiveChaosTest, StatsAdaptiveUnderLossAndChurn) {
-  // Distributed statistics + adaptive execution under the full chaos stack:
+TEST(ConjunctiveChaosTest, StatsUnderLossAndChurn) {
+  // Distributed statistics + cost-based planning under the full chaos stack:
   // sketch fetches are single-attempt, so the loss bursts routinely kill
   // StatsRecords and whole prefetch waves must degrade to greedy planning
   // at the fetch timeout. The drain contract and wire invariants must hold
   // with the two new message types in play.
   ChaosConfig cfg;
-  cfg.name = "stats-adaptive";
+  cfg.name = "stats";
   cfg.seed = 47;
   cfg.loss = 0.10;
   cfg.loss_bursts = 2;
@@ -342,7 +341,7 @@ TEST(ConjunctiveChaosTest, StatsAdaptiveUnderLossAndChurn) {
   RunConjunctiveChaos(cfg);
 }
 
-/// Network-level differential: cost-based/adaptive execution must return
+/// Network-level differential: cost-based execution must return
 /// exactly the rows greedy planning returns — statistics change shipping
 /// costs, never answers. The stats deployment issues each query twice (the
 /// first run's prefetch warms the sketch cache, the second plans cost-based
@@ -359,7 +358,6 @@ TEST(ConjunctiveDifferentialTest, CostBasedMatchesGreedyRows) {
 
     GridVineNetwork::Options stats_opts = greedy_opts;
     stats_opts.peer.stats.enabled = true;
-    stats_opts.peer.stats.divergence = 2.0;
     GridVineNetwork stats_net(stats_opts);
     ASSERT_TRUE(stats_net.InsertTriples(0, MakeTriples(seed, 30)).ok());
     stats_net.Settle();

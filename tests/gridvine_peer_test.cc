@@ -389,5 +389,66 @@ TEST_F(GridVineTest, CountersTrack) {
   EXPECT_EQ(net_.peer(7)->counters().queries_issued, 1u);
 }
 
+/// The observed-extent feedback end to end: a finished conjunctive query
+/// feeds each full scan's row count into the issuer's statistics cache,
+/// where ExplainConjunctivePlan shows it, and a later run over grown data
+/// replaces it.
+TEST(GridVineStatsFeedbackTest, ObservedExtentFollowsData) {
+  GridVineNetwork::Options o;
+  o.num_peers = 16;
+  o.key_depth = 12;
+  o.seed = 31;
+  o.latency = GridVineNetwork::LatencyKind::kConstant;
+  o.latency_param = 0.02;
+  o.peer.stats.enabled = true;
+  GridVineNetwork net(o);
+
+  const TriplePattern gadgets(Term::Var("x"), Term::Uri("x:type"),
+                              Term::Literal("gadget"));
+  auto add_entities = [&net](int from, int to, const std::string& type) {
+    std::vector<Triple> triples;
+    for (int e = from; e < to; ++e) {
+      std::string subj = "x:e" + std::to_string(e);
+      triples.push_back(T(subj, "x:type", type));
+      triples.push_back(T(subj, "x:size", std::to_string(e % 3)));
+    }
+    ASSERT_TRUE(net.InsertTriples(0, triples).ok());
+    net.Settle();
+  };
+  add_entities(0, 6, "gadget");
+  add_entities(6, 10, "widget");
+
+  ConjunctiveQuery q(
+      {"x", "l"},
+      {gadgets, TriplePattern(Term::Var("x"), Term::Uri("x:size"),
+                              Term::Var("l"))});
+  // Collect-then-join: every pattern, the gadget one included, is resolved
+  // by a full RemoteScan of its extent.
+  GridVinePeer::QueryOptions collect;
+  collect.bind_join = false;
+  GridVinePeer* issuer = net.peer(1);
+  auto check = [&](size_t extent) {
+    SCOPED_TRACE("extent=" + std::to_string(extent));
+    auto res = net.SearchForConjunctive(1, q, collect);
+    ASSERT_TRUE(res.status.ok()) << res.status;
+    EXPECT_EQ(res.rows.size(), extent);
+    auto obs = issuer->stats_cache()->ObservedRows(gadgets.Serialize(),
+                                                   net.Now());
+    ASSERT_TRUE(obs.has_value());
+    EXPECT_EQ(*obs, double(extent));
+    std::string explain = issuer->ExplainConjunctivePlan(q, collect);
+    EXPECT_NE(explain.find("RemoteScan(p0)"), std::string::npos) << explain;
+    size_t line = explain.find(gadgets.ToString());
+    ASSERT_NE(line, std::string::npos) << explain;
+    std::string row = explain.substr(line, explain.find('\n', line) - line);
+    EXPECT_NE(row.find(" obs_rows=" + std::to_string(extent)),
+              std::string::npos)
+        << row;
+  };
+  check(6);
+  add_entities(10, 13, "gadget");
+  check(9);
+}
+
 }  // namespace
 }  // namespace gridvine

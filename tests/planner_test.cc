@@ -257,30 +257,5 @@ TEST(CostPlannerTest, UnroutablePatternAlwaysBinds) {
   EXPECT_EQ(plan.groups[0].steps[2].pattern, 1u);
 }
 
-TEST(CostPlannerTest, GroupSuffixDeterministicAndOrdersByObservedCard) {
-  ConjunctiveQuery q(
-      {"x"},
-      {P(Term::Uri("s"), Term::Uri("p0"), Term::Var("x")),
-       P(Term::Var("x"), Term::Uri("p1"), Term::Var("o")),
-       P(Term::Var("x"), Term::Uri("p2"), Term::Var("o2"))});
-  PlanOptions opts;
-  opts.estimates = {Est(10, 1, 10), Est(500, 100, 100), Est(20, 20, 20)};
-
-  GroupSuffix s1 = PlanGroupSuffix(q, {0}, {1, 2}, /*prefix_card=*/8, opts);
-  GroupSuffix s2 = PlanGroupSuffix(q, {0}, {1, 2}, /*prefix_card=*/8, opts);
-  ASSERT_EQ(s1.patterns.size(), 2u);
-  // The smaller joined cardinality (pattern 2) extends the prefix first.
-  EXPECT_EQ(s1.patterns[0], 2u);
-  EXPECT_EQ(s1.patterns[1], 1u);
-  // Equal inputs -> equal suffixes (the adaptive splice must be replayable).
-  EXPECT_EQ(s1.patterns, s2.patterns);
-  EXPECT_EQ(s1.est_cards, s2.est_cards);
-  ASSERT_EQ(s1.steps.size(), s2.steps.size());
-  for (size_t i = 0; i < s1.steps.size(); ++i) {
-    EXPECT_EQ(s1.steps[i].kind, s2.steps[i].kind);
-    EXPECT_EQ(s1.steps[i].pattern, s2.steps[i].pattern);
-  }
-}
-
 }  // namespace
 }  // namespace gridvine
